@@ -77,27 +77,11 @@ def _build_plan_workload(name: str, nodes: int, seed: int):
     return None
 
 
-def _config_overrides(
-    workers: Optional[str], backend: Optional[str]
-) -> dict:
-    """NovaConfig kwargs for the shared --workers/--execution-backend
-    flags. Workers stay a string here ("4" or "auto"); the config's
-    resolve step normalizes either form."""
-    overrides: dict = {}
-    if workers is not None:
-        overrides["packing_workers"] = workers
-    if backend is not None:
-        overrides["execution_backend"] = backend
-    return overrides
-
-
 def run_plan(
     workload_name: str,
     strategy: str,
     nodes: int = 400,
     seed: int = 0,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Plan a workload through the unified Planner API and report it.
 
@@ -105,21 +89,11 @@ def run_plan(
     comparison table; a single strategy prints its full PlanResult
     summary. Exits non-zero when any strategy produces an empty
     placement — which is what lets CI treat this as a smoke assertion.
-    ``--workers`` (an integer or ``auto``) and ``--execution-backend``
-    select the Phase III lease fan-out; results are bit-identical for
-    every combination.
     """
     from repro import NovaConfig, available_strategies, plan
     from repro.common.errors import ReproError
     from repro.common.tables import render_table
     from repro.evaluation import evaluate_result
-
-    overrides = _config_overrides(workers, backend)
-    try:
-        NovaConfig(seed=seed, **overrides)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
 
     workload = _build_plan_workload(workload_name, nodes, seed)
     if workload is None:
@@ -140,7 +114,7 @@ def run_plan(
     empty = []
     for name in names:
         try:
-            result = plan(workload, name, config=NovaConfig(seed=seed, **overrides))
+            result = plan(workload, name, config=NovaConfig(seed=seed))
         except ReproError as error:
             print(f"planning failed for {name!r}: {error}", file=sys.stderr)
             return 1
@@ -148,8 +122,8 @@ def run_plan(
             evaluated = evaluate_result(result)
             summary = result.summary()
         finally:
-            # Strategies that support churn hand back a live session with
-            # execution backends attached; release them once evaluated.
+            # Strategies that support churn hand back a live session;
+            # release it once evaluated.
             if result.session is not None:
                 result.session.close()
         if summary["sub_replicas"] == 0:
@@ -252,8 +226,6 @@ def list_figures() -> int:
 def run_replay(
     trace_path: str,
     save_deltas: Optional[str] = None,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Replay a churn trace through ``session.apply``, batch by batch.
 
@@ -301,11 +273,7 @@ def run_replay(
         return 2
     nodes = int(spec.get("nodes", 400))
     seed = int(spec.get("seed", 0))
-    try:
-        config = NovaConfig(seed=seed, **_config_overrides(workers, backend))
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    config = NovaConfig(seed=seed)
     workload = _build_plan_workload("synthetic", nodes, seed)
 
     started = time.perf_counter()
@@ -412,8 +380,6 @@ def run_serve(
     status_interval: float = 5.0,
     max_windows: Optional[int] = None,
     exit_on_eof: bool = False,
-    workers: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> int:
     """Run the long-lived serving daemon (see :mod:`repro.serve`).
 
@@ -438,11 +404,7 @@ def run_serve(
         ServeSettings,
     )
 
-    try:
-        config = NovaConfig(seed=seed, **_config_overrides(workers, backend))
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    config = NovaConfig(seed=seed)
     settings = ServeSettings(
         window_ms=window_ms,
         max_batch=max_batch,
@@ -518,18 +480,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--nodes", type=int, default=400, help="node count for synthetic workloads"
     )
     plan_parser.add_argument("--seed", type=int, default=0, help="workload/config seed")
-    plan_parser.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto' "
-        "(= cpu count); results are identical for every worker count",
-    )
-    plan_parser.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
-    )
     subparsers.add_parser("demo", help="run the running example")
     subparsers.add_parser("figures", help="list bench targets")
     subparsers.add_parser("version", help="print the package version")
@@ -541,17 +491,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--save-deltas",
         default=None,
         help="archive each batch's PlanDelta as JSON to this path",
-    )
-    replay.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto'",
-    )
-    replay.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
     )
     serve = subparsers.add_parser(
         "serve",
@@ -635,17 +574,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="drain and exit once every source hits end-of-stream "
         "(default: keep serving until signaled)",
     )
-    serve.add_argument(
-        "--workers",
-        default=None,
-        help="Phase III packing workers: a positive integer or 'auto'",
-    )
-    serve.add_argument(
-        "--execution-backend",
-        default=None,
-        choices=["serial", "thread", "process"],
-        help="where lease speculation runs (default: thread)",
-    )
     args = parser.parse_args(argv)
     if args.command == "plan":
         return run_plan(
@@ -653,8 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.strategy,
             nodes=args.nodes,
             seed=args.seed,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     if args.command == "demo":
         return run_demo()
@@ -664,8 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_replay(
             args.trace,
             save_deltas=args.save_deltas,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     if args.command == "serve":
         return run_serve(
@@ -683,8 +607,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             status_interval=args.status_interval,
             max_windows=args.max_windows,
             exit_on_eof=args.exit_on_eof,
-            workers=args.workers,
-            backend=args.execution_backend,
         )
     from repro import __version__
 

@@ -25,8 +25,7 @@ strategies, yet the original code exposed two disjoint surfaces:
   instrumentation hooks. Stage reuse is first-class:
   ``pipeline.with_stage_result("cost_space", space)`` skips Phase I with
   a prebuilt embedding (what benchmarks previously did through the
-  ``cost_space=`` kwarg). The stage boundary is exactly the work unit
-  the ROADMAP's process-pool parallelism lever needs.
+  ``cost_space=`` kwarg).
 
 * one **registry** spanning all seven strategies —
   :func:`available_strategies`, :func:`planner`, :func:`plan` (exported
@@ -488,8 +487,7 @@ class PlacementPipeline:
     the old ``cost_space=`` kwarg hack. Hooks observe every stage
     boundary: ``before_stage(fn(stage_name, context))`` and
     ``after_stage(fn(StageReport, context))``. Each stage is a
-    self-contained work unit over the shared :class:`PlanContext`, which
-    is what a process-pool execution backend would distribute.
+    self-contained work unit over the shared :class:`PlanContext`.
     """
 
     def __init__(

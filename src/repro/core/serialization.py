@@ -26,6 +26,20 @@ from repro.core.placement import Placement, SubReplicaPlacement
 
 FORMAT_VERSION = 1
 
+# Counters of the removed parallel packing path. Deltas archived before
+# the removal still carry them; they are dropped by name on load, while
+# any other unknown timing key is still rejected.
+_REMOVED_TIMING_KEYS = frozenset(
+    {
+        "packing_batches",
+        "packing_deferred",
+        "packing_hot_zone",
+        "packing_speculated",
+        "cleanup_deferred",
+        "packing_workers_used",
+    }
+)
+
 
 def _sub_to_dict(sub: SubReplicaPlacement) -> Dict:
     return {
@@ -126,6 +140,19 @@ def plan_delta_to_dict(delta: PlanDelta) -> Dict:
     }
 
 
+def _timings_from_dict(data: Dict) -> PhaseTimings:
+    try:
+        return PhaseTimings(
+            **{
+                name: value
+                for name, value in data.items()
+                if name not in _REMOVED_TIMING_KEYS
+            }
+        )
+    except TypeError as error:
+        raise OptimizationError(f"malformed plan-delta timings: {error}") from None
+
+
 def plan_delta_from_dict(data: Dict) -> PlanDelta:
     """Rebuild a plan delta from :func:`plan_delta_to_dict` output."""
     version = data.get("version")
@@ -154,7 +181,7 @@ def plan_delta_from_dict(data: Dict) -> PlanDelta:
         demand_delta=float(data.get("demand_delta", 0.0)),
         latency_cost_delta=float(data.get("latency_cost_delta", 0.0)),
         overload_accepted=bool(data.get("overload_accepted", False)),
-        timings=PhaseTimings(**timings_data) if timings_data else None,
+        timings=_timings_from_dict(timings_data) if timings_data else None,
     )
 
 
@@ -225,14 +252,6 @@ def session_summary(session: NovaSession) -> Dict:
             "cursor_cache_hits": session.timings.cursor_cache_hits,
             "cursor_cache_misses": session.timings.cursor_cache_misses,
             "cursor_cache_hit_rate": session.timings.cursor_cache_hit_rate,
-            "execution_backend": session.config.execution_backend,
-            "workers": session.config.packing_workers,
-            "workers_used": session.timings.packing_workers_used,
-            "batches": session.timings.packing_batches,
-            "deferred": session.timings.packing_deferred,
-            "speculated": session.timings.packing_speculated,
-            "hot_zone": session.timings.packing_hot_zone,
-            "cleanup_deferred": session.timings.cleanup_deferred,
         },
         "state_plane": {
             # Running totals over every batch applied to this session:

@@ -1,254 +1,25 @@
-"""Execution backends: config resolution, pool lifecycle, parity, failure."""
+"""Execution settings: packing is serial, and the config refuses anything else.
 
-import os
-import pickle
+``NovaConfig.packing_workers`` and ``execution_backend`` survive only as
+pinned fields (1 and ``"serial"``); every other value is rejected.
+"""
 
 import pytest
 
 from repro.core.config import NovaConfig
-from repro.core import execution
-from repro.core.execution import (
-    ExecutionBackend,
-    ProcessBackend,
-    ThreadBackend,
-    WorkerFailure,
-    create_backend,
-    resolve_workers,
-)
-from repro.core.packing import _pack_lease_unit
-from repro.topology.dynamics import DataRateChangeEvent
-from repro.topology.latency import DenseLatencyMatrix
-from repro.workloads.synthetic import synthetic_opp_workload
-
-
-def _square(x):
-    """Module-level so the process pool can pickle it."""
-    return x * x
-
-
-def build_session(n, seed, **overrides):
-    from repro.core.optimizer import Nova
-
-    workload = synthetic_opp_workload(n, seed=seed)
-    latency = DenseLatencyMatrix.from_topology(workload.topology)
-    config = NovaConfig(seed=seed, **overrides)
-    session = Nova(config).optimize(
-        workload.topology, workload.plan, workload.matrix, latency=latency
-    )
-    return workload, session
-
-
-def state_signature(session):
-    placed = {
-        (s.sub_id, s.node_id, s.charged_capacity)
-        for s in session.placement.sub_replicas
-    }
-    return placed, dict(session.available)
 
 
 class TestWorkerResolution:
-    def test_auto_resolves_to_cpu_count(self):
-        assert resolve_workers("auto") == (os.cpu_count() or 1)
-
-    def test_integer_strings_convert(self):
-        assert resolve_workers("4") == 4
-        assert resolve_workers(3) == 3
-
     def test_non_numeric_string_rejected(self):
-        with pytest.raises(ValueError, match="positive integer or 'auto'"):
-            resolve_workers("many")
+        with pytest.raises(ValueError, match="parallel packing was removed"):
+            NovaConfig(packing_workers="many")
 
     def test_zero_and_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_workers("-2")
-
-    def test_config_resolves_auto(self):
-        config = NovaConfig(packing_workers="auto")
-        assert config.packing_workers == (os.cpu_count() or 1)
+        for workers in (0, -2, "auto", 2):
+            with pytest.raises(ValueError, match="parallel packing was removed"):
+                NovaConfig(packing_workers=workers)
 
     def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            NovaConfig(execution_backend="gpu")
-
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("NOVA_EXECUTION_BACKEND", "process")
-        monkeypatch.setenv("NOVA_PACKING_WORKERS", "3")
-        config = NovaConfig()
-        assert config.execution_backend == "process"
-        assert config.packing_workers == 3
-        monkeypatch.setenv("NOVA_PACKING_WORKERS", "auto")
-        assert NovaConfig().packing_workers == (os.cpu_count() or 1)
-
-
-class TestBackendLifecycle:
-    def test_create_backend_mapping(self):
-        serial = create_backend(NovaConfig(execution_backend="serial"))
-        assert type(serial) is ExecutionBackend and serial.name == "serial"
-        thread = create_backend(
-            NovaConfig(execution_backend="thread", packing_workers=2)
-        )
-        assert isinstance(thread, ThreadBackend) and thread.workers == 2
-        process = create_backend(
-            NovaConfig(execution_backend="process", packing_workers=2)
-        )
-        assert isinstance(process, ProcessBackend) and process.workers == 2
-
-    def test_workers_refuse_nested_pools(self, monkeypatch):
-        monkeypatch.setattr(execution, "_IN_WORKER", True)
-        backend = create_backend(
-            NovaConfig(execution_backend="process", packing_workers=4)
-        )
-        assert type(backend) is ExecutionBackend
-
-    def test_serial_joins_are_lazy(self):
-        calls = []
-        joins = ExecutionBackend().start(calls.append, ["a", "b"])
-        assert calls == []
-        joins[1]()
-        assert calls == ["b"]
-        joins[0]()
-        assert calls == ["b", "a"]
-
-    def test_thread_pool_spawns_lazily_and_closes(self):
-        backend = ThreadBackend(2)
-        assert not backend.running
-        joins = backend.start(_square, [2, 3])
-        assert backend.running
-        assert [join() for join in joins] == [4, 9]
-        backend.close()
-        assert not backend.running
-
-    def test_process_pool_spawns_lazily_and_closes(self):
-        backend = ProcessBackend(2)
-        assert not backend.running
-        joins = backend.start(_square, [5, 6])
-        assert backend.running
-        assert [join() for join in joins] == [25, 36]
-        backend.close()
-        assert not backend.running
-        backend.close()  # idempotent
-
-    def test_session_owns_pool_lifecycle(self):
-        _, session = build_session(
-            120, 3, execution_backend="thread", packing_workers=2
-        )
-        engine = session.engine
-        backend = engine.execution
-        assert isinstance(backend, ThreadBackend)
-        session.close()
-        assert engine._backend is None
-        # Reusable after close: a new pack pass just re-creates it.
-        assert isinstance(engine.execution, ThreadBackend)
-        session.close()
-
-
-class TestCrossBackendDeterminism:
-    def test_bit_identical_across_backends_and_worker_counts(self):
-        """The acceptance bar: every backend and worker count reproduces
-        the serial engine's placement and ledger bit-for-bit at n=10^3."""
-        _, serial = build_session(
-            1000, 13, execution_backend="serial", packing_workers=1
-        )
-        reference = state_signature(serial)
-        serial.close()
-        for backend in ("serial", "thread", "process"):
-            for workers in (1, 2, 4):
-                _, session = build_session(
-                    1000, 13, execution_backend=backend, packing_workers=workers
-                )
-                assert state_signature(session) == reference, (
-                    f"{backend}/{workers} diverged from serial"
-                )
-                session.close()
-
-    def test_serial_backend_drives_the_commit_loop(self):
-        """``execution_backend="serial"`` with workers > 1 runs the full
-        speculation/commit machinery with lazily-joined in-process units
-        (the deterministic way to debug the commit loop), rather than
-        bypassing it for the plain serial loop."""
-        _, session = build_session(
-            1000, 13, execution_backend="serial", packing_workers=2
-        )
-        stats = session.engine.stats
-        assert stats.batches > 0, "serial backend never dispatched a lease unit"
-        assert stats.speculated > 0, "serial backend never committed worker ops"
-        session.close()
-
-
-class TestWorkerFailureRollback:
-    def test_mid_batch_failure_rolls_back_bit_identically(self):
-        _, session = build_session(
-            400,
-            7,
-            execution_backend="process",
-            packing_workers=2,
-            packing_parallel_min=1,
-        )
-        engine = session.engine
-        before = state_signature(session)
-        source = session.plan.sources()[0].op_id
-        event = DataRateChangeEvent(source, 64.0)
-
-        # Force lease units to form (the churn-time contention probe
-        # would otherwise route small batches through the hot zone) and
-        # poison every dispatched unit.
-        engine._contended = lambda lease_nodes: False
-        dispatched = []
-
-        def poison(unit):
-            dispatched.append(unit.index)
-            unit.inject_failure = True
-
-        engine._unit_hook = poison
-        with pytest.raises(WorkerFailure):
-            session.apply([event])
-        assert dispatched, "no lease unit was ever dispatched"
-        # The session journal restored the exact pre-batch state.
-        assert state_signature(session) == before
-
-        # Clear the poison: the same batch now applies cleanly.
-        engine._unit_hook = None
-        del engine._contended
-        delta = session.apply([event])
-        assert delta.events_applied == 1
-        session.close()
-
-
-class TestLeaseWorkUnits:
-    def _capture_units(self):
-        """Drive a churn re-pack with the unit hook armed and collect
-        every lease unit the scheduler dispatches."""
-        units = []
-        _, session = build_session(
-            300,
-            19,
-            execution_backend="thread",
-            packing_workers=2,
-            packing_parallel_min=1,
-        )
-        engine = session.engine
-        engine._contended = lambda lease_nodes: False
-        engine._unit_hook = units.append
-        source = session.plan.sources()[0].op_id
-        session.apply([DataRateChangeEvent(source, 64.0)])
-        session.close()
-        return units
-
-    def test_units_pickle_small_and_round_trip(self):
-        units = self._capture_units()
-        assert units, "parallel pack never built a lease unit"
-        for unit in units[:4]:
-            blob = pickle.dumps(unit)
-            # Pickle-lean: a unit ships per-bucket rows, never the
-            # session (a session pickle would be megabytes at n=300).
-            assert len(blob) < 256_000
-            clone = pickle.loads(blob)
-            assert clone.job_indices == unit.job_indices
-            assert clone.snapshot == unit.snapshot
-            # Bit-equal speculation on both sides of the boundary.
-            ours = _pack_lease_unit(unit)
-            theirs = _pack_lease_unit(clone)
-            assert ours.ops == theirs.ops
-            assert (ours.deferred, ours.cells) == (theirs.deferred, theirs.cells)
+        for backend in ("gpu", "thread", "process"):
+            with pytest.raises(ValueError, match="parallel packing was removed"):
+                NovaConfig(execution_backend=backend)

@@ -1,4 +1,4 @@
-"""The Phase III packing engine: shared cursor cache, leases, workers."""
+"""The Phase III packing engine: shared cursor cache and grid walk."""
 
 import numpy as np
 import pytest
@@ -30,10 +30,7 @@ def cluster_scenario(seed=0, clusters=4, nodes_per_cluster=40, replicas_per_clus
 
     Each replica's virtual position sits inside its own cluster, every
     candidate ring eventually reaches other clusters only at distances no
-    placement will ever prefer, and capacities are generous — so serial
-    and lease-parallel packing must produce identical placements no
-    matter how replicas split between workers and the serial cleanup
-    pass.
+    placement will ever prefer, and capacities are generous.
     """
     rng = np.random.default_rng(seed)
     centers = [np.array([50_000.0 * i, 20_000.0 * (i % 2)]) for i in range(clusters)]
@@ -55,7 +52,7 @@ def cluster_scenario(seed=0, clusters=4, nodes_per_cluster=40, replicas_per_clus
 
 
 def run_engine(coords, capacities, jobs, **config_overrides):
-    config = NovaConfig(seed=1, packing_parallel_min=1, **config_overrides)
+    config = NovaConfig(seed=1, **config_overrides)
     cost_space = CostSpace(coords, config)
     available = AvailabilityLedger(cost_space, backing=dict(capacities))
     engine = PackingEngine(cost_space, config)
@@ -71,92 +68,13 @@ def placement_signature(outcomes):
     ]
 
 
-class TestSerialParallelParity:
-    def test_cluster_workload_identical_across_worker_counts(self):
-        coords, capacities, jobs = cluster_scenario()
-        reference = None
-        for workers in (1, 2, 4, 8):
-            _, available, outcomes = run_engine(
-                coords, capacities, jobs, packing_workers=workers
-            )
-            signature = placement_signature(outcomes)
-            if reference is None:
-                reference = (signature, dict(available))
-            else:
-                assert signature == reference[0], f"workers={workers} diverged"
-                assert dict(available) == reference[1]
-
-    def test_cluster_workload_identical_across_seeds(self):
-        for seed in (0, 7, 23):
-            coords, capacities, jobs = cluster_scenario(seed=seed)
-            serial = placement_signature(
-                run_engine(coords, capacities, jobs, packing_workers=1)[2]
-            )
-            parallel = placement_signature(
-                run_engine(coords, capacities, jobs, packing_workers=3)[2]
-            )
-            assert serial == parallel, f"seed {seed} diverged"
-
-    def test_parallel_outcomes_keep_job_order(self):
+class TestPack:
+    def test_outcomes_keep_job_order(self):
         coords, capacities, jobs = cluster_scenario(seed=3)
-        _, _, outcomes = run_engine(coords, capacities, jobs, packing_workers=4)
+        _, _, outcomes = run_engine(coords, capacities, jobs)
         assert [o.subs[0].replica_id for o in outcomes] == [
             replica.replica_id for replica, _ in jobs
         ]
-
-    def test_parallel_counters_reported(self):
-        coords, capacities, jobs = cluster_scenario(seed=5)
-        engine, _, _ = run_engine(coords, capacities, jobs, packing_workers=2)
-        assert engine.stats.workers_used >= 1
-        assert engine.stats.batches + engine.stats.deferred > 0
-        assert sum(engine.stats.worker_cells.values()) >= 0
-
-
-class TestCommitTimeSpoilPoisonsUnit:
-    def test_hot_zone_write_between_unit_jobs_poisons_later_jobs(self):
-        """Regression: the first commit-time spoil must poison its unit.
-
-        Hot-zone job H (ordered first, in a node-less bucket) lightly
-        drains X, the lease bucket's closest node. C's worker
-        speculatively filled X, so C's ops are spoiled and C recomputes
-        serially — landing on W and leaving X with capacity. D's worker
-        speculated *after* C drained X, rejected it, and chose Y; but
-        the serial reference places D on X (C's discarded drain never
-        happened there). Committing D's ops verbatim would silently
-        diverge — D must be recomputed because its unit is poisoned.
-        """
-        coords = {
-            "P1": np.array([-1.0, -1.0]),
-            "P2": np.array([20.0, 20.0]),
-            "W": np.array([3.0, 5.0]),
-            "X": np.array([5.0, 5.0]),
-            "Y": np.array([8.0, 5.0]),
-        }
-        capacities = {"P1": 100.0, "P2": 100.0, "W": 10.0, "X": 10.0, "Y": 10.0}
-        jobs = [
-            # sigma=1.0 keeps every grid 1x1, so cell demand = 2 * rate.
-            (make_replica("H", "P1", "P2", "P1", rate=2.0), np.array([5.0, 12.0])),
-            (make_replica("C", "P1", "P2", "P1", rate=3.5), np.array([5.2, 5.0])),
-            (make_replica("D", "P1", "P2", "P1", rate=2.5), np.array([6.0, 5.0])),
-        ]
-        overrides = dict(sigma=1.0, packing_bucket_grid=2)
-        _, serial_avail, serial = run_engine(
-            coords, capacities, jobs, packing_workers=1, **overrides
-        )
-        # Pin the scenario: H -> X (light drain), C -> W (X now too
-        # drained for C), D -> X (still fits D's smaller demand).
-        assert [o.subs[0].node_id for o in serial] == ["X", "W", "X"]
-        engine, parallel_avail, parallel = run_engine(
-            coords, capacities, jobs, packing_workers=2, **overrides
-        )
-        assert placement_signature(parallel) == placement_signature(serial)
-        assert dict(parallel_avail) == dict(serial_avail)
-        # The parallel run really exercised the poison path: H streamed
-        # through the hot zone, C was spoiled, D was poisoned — nothing
-        # committed verbatim.
-        assert engine.stats.hot_zone == 1
-        assert engine.stats.speculated == 0
-        assert engine.stats.deferred == 2
 
 
 class TestSharedCursorCache:
@@ -274,39 +192,3 @@ class TestWrapperCompatibility:
         )
         assert outcome.overload_accepted
         assert outcome.subs
-
-
-class TestParallelEndToEnd:
-    def test_session_parity_on_synthetic_workload(self):
-        from repro.core.optimizer import Nova
-        from repro.topology.latency import DenseLatencyMatrix
-        from repro.workloads.synthetic import synthetic_opp_workload
-
-        workload = synthetic_opp_workload(300, seed=19)
-        latency = DenseLatencyMatrix.from_topology(workload.topology)
-        sessions = {}
-        for workers in (1, 2, 4):
-            sessions[workers] = Nova(
-                NovaConfig(seed=19, packing_workers=workers)
-            ).optimize(workload.topology, workload.plan, workload.matrix, latency=latency)
-        serial = sessions[1]
-        serial_placed = [
-            (s.sub_id, s.node_id, s.charged_capacity)
-            for s in serial.placement.sub_replicas
-        ]
-        for workers in (2, 4):
-            parallel = sessions[workers]
-            # Bit-identical placement and ledger: speculative lease
-            # packing commits in original job order, so every worker
-            # count reproduces the serial engine's exact state.
-            assert [
-                (s.sub_id, s.node_id, s.charged_capacity)
-                for s in parallel.placement.sub_replicas
-            ] == serial_placed
-            assert dict(parallel.available) == dict(serial.available)
-            assert (
-                parallel.placement.overload_accepted
-                == serial.placement.overload_accepted
-            )
-        for session in sessions.values():
-            session.close()

@@ -19,6 +19,32 @@ from repro.core.serialization import (
 from repro.workloads.running_example import build_running_example
 
 
+# The ``timings`` of one archived single-event delta as written before
+# parallel packing was removed: the six packing_* / cleanup_deferred
+# counters no longer exist on PhaseTimings.
+PARENT_FORMAT_TIMINGS = {
+    "cost_space_s": 0.0,
+    "resolve_s": 0.0,
+    "virtual_s": 0.0012,
+    "physical_s": 0.0031,
+    "replicas_placed": 3,
+    "medians_solved": 3,
+    "cells_placed": 27,
+    "knn_queries": 5,
+    "packing_passes": 1,
+    "cursor_cache_hits": 4,
+    "cursor_cache_misses": 2,
+    "packing_batches": 0,
+    "packing_deferred": 0,
+    "packing_hot_zone": 0,
+    "packing_speculated": 0,
+    "cleanup_deferred": 0,
+    "packing_workers_used": 1,
+    "journal_nodes_touched": 4,
+    "copied_subs": 18,
+}
+
+
 @pytest.fixture(scope="module")
 def session():
     example = build_running_example()
@@ -151,6 +177,31 @@ class TestPlanDeltaRoundTrip:
         )
         for key, value in session.placement.virtual_positions.items():
             assert np.allclose(replayed.virtual_positions[key], value)
+
+    def test_loads_delta_archived_with_removed_packing_counters(self):
+        from repro.core.serialization import (
+            plan_delta_from_dict,
+            plan_delta_to_dict,
+        )
+
+        session, base, delta = self.make_delta()
+        data = plan_delta_to_dict(delta)
+        data["timings"] = dict(PARENT_FORMAT_TIMINGS)
+        rebuilt = plan_delta_from_dict(data)
+        assert rebuilt.timings.knn_queries == 5
+        assert rebuilt.timings.copied_subs == 18
+        assert not hasattr(rebuilt.timings, "packing_workers_used")
+        replayed = rebuilt.apply_to(base)
+        assert {(s.sub_id, s.node_id) for s in replayed.sub_replicas} == {
+            (s.sub_id, s.node_id) for s in session.placement.sub_replicas
+        }
+
+    def test_unknown_timing_key_still_rejected(self):
+        from repro.core.serialization import plan_delta_from_dict
+
+        timings = dict(PARENT_FORMAT_TIMINGS, not_a_counter=1)
+        with pytest.raises(OptimizationError, match="not_a_counter"):
+            plan_delta_from_dict({"version": FORMAT_VERSION, "timings": timings})
 
     def test_version_check(self):
         from repro.core.serialization import plan_delta_from_dict

@@ -1,5 +1,7 @@
 """Deployment of placements onto the simulator."""
 
+import json
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -210,3 +212,46 @@ class TestFromArtifacts:
         }
         # The base placement itself must be untouched by the fold.
         assert any(sub.node_id == host for sub in base.sub_replicas)
+
+    def test_parent_format_delta_archive_deploys(self):
+        """Deltas archived before parallel packing was removed (their
+        timings carry the dropped counters) still load and deploy."""
+        from repro.core.serialization import (
+            plan_delta_from_dict,
+            plan_delta_to_dict,
+        )
+        from repro.evaluation.latency import matrix_distance
+        from repro.topology.dynamics import DataRateChangeEvent
+        from repro.topology.latency import DenseLatencyMatrix
+        from repro.workloads.synthetic import synthetic_opp_workload
+        from tests.core.test_serialization import PARENT_FORMAT_TIMINGS
+
+        workload2 = synthetic_opp_workload(80, seed=9)
+        latency = DenseLatencyMatrix.from_topology(workload2.topology)
+        session = Nova(NovaConfig(seed=9)).optimize(
+            workload2.topology, workload2.plan, workload2.matrix, latency=latency
+        )
+        base = session.placement.copy()
+        source = session.plan.sources()[1].op_id
+        archived = plan_delta_to_dict(session.apply([DataRateChangeEvent(source, 120.0)]))
+        archived["timings"] = dict(PARENT_FORMAT_TIMINGS)
+
+        config = SimulationConfig(duration_s=0.2, seed=9)
+        distance = matrix_distance(latency)
+        replayed = Deployment.from_artifacts(
+            session.topology,
+            session.plan,
+            base,
+            [plan_delta_from_dict(json.loads(json.dumps(archived)))],
+            distance,
+            config=config,
+        )
+        live = Deployment(
+            session.topology, session.plan, session.placement, distance,
+            config=config,
+        )
+        assert {
+            (key, frozenset(join.cells)) for key, join in replayed.joins.items()
+        } == {
+            (key, frozenset(join.cells)) for key, join in live.joins.items()
+        }
